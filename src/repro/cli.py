@@ -19,10 +19,7 @@ Subcommands::
 ``run`` and ``bench`` accept ``--engine {fast,pipeline,compiled}`` to choose
 between the pre-decoded integer engine (default), the stage-by-stage
 pipeline model and the superblock code-generating engine; all three produce
-identical cycle statistics.  ``run --engine compiled --pgo`` turns on the
-profile-guided recompilation mode (profile pass, then hot blocks recompiled
-as chained traces) — bit-identical results, higher throughput on loop-heavy
-programs.  ``run``, ``bench``, ``fuzz``, ``sweep`` and
+identical cycle statistics.  ``run``, ``bench``, ``fuzz``, ``sweep`` and
 ``serve`` additionally accept ``--machine`` / ``--machines`` to select a
 built-in microarchitecture description (pipeline depth, branch policy,
 load-use penalty, fetch latency — see :mod:`repro.sim.machine`); the
@@ -102,16 +99,11 @@ def _cmd_translate(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.pgo and args.engine != "compiled":
-        print("art9 run: --pgo is a compiled-engine mode; pass "
-              "--engine compiled", file=sys.stderr)
-        return 2
     with open(args.source, "r", encoding="utf-8") as handle:
         source = handle.read()
     software = SoftwareFramework()
     program, report = software.compile_riscv_assembly(source, name=args.source)
-    hardware = HardwareFramework(engine=args.engine, machine=args.machine,
-                                 pgo=args.pgo)
+    hardware = HardwareFramework(engine=args.engine, machine=args.machine)
     stats = hardware.simulate(program)
     print(report.summary())
     print()
@@ -140,11 +132,11 @@ BENCH_JSON_VARIANTS = (
 #: Format 2 adds the per-machine-config Dhrystone rows (``machines`` key).
 #: Format 3 adds the batched-engine throughput rows (``batch`` key) with the
 #: ``jobs_per_second`` metric.
-#: Format 4 adds the chained (profile-guided) compiled-engine timings:
-#: ``compiled_chained_seconds`` / ``chained_speedup_vs_plain`` per workload
-#: row, with ``engines_agree`` widened to cover the PGO engine everywhere
-#: (workload, machine and batch rows alike).
-BENCH_RECORD_FORMAT = 4
+#: Format 4 added the chained (profile-guided) compiled-engine timings.
+#: Format 5 drops them again with the chaining modes: every workload row
+#: carries ``fast_seconds`` / ``compiled_seconds`` and an ``engines_agree``
+#: flag, as do the machine and batch rows.
+BENCH_RECORD_FORMAT = 5
 
 #: Workloads timed by the batched-throughput section: the two seed-variant
 #: sweep workloads whose grid points the batched backends actually group.
@@ -282,13 +274,9 @@ def _cmd_bench_json(args: argparse.Namespace) -> int:
 
     software = SoftwareFramework()
     rows = []
-    # "chained" is the profile-guided engine: bench is the two-pass PGO
-    # mode's automatic home (the profiling pass amortises across the
-    # repeat rounds through the process-wide chain-plan memo).
     engine_factories = (
         ("fast", FastEngine),
         ("compiled", CompiledEngine),
-        ("chained", lambda program: CompiledEngine(program, pgo=True)),
     )
     for name, params in BENCH_JSON_VARIANTS:
         program, _, workload = software.compile_named_workload(name, params)
@@ -296,7 +284,6 @@ def _cmd_bench_json(args: argparse.Namespace) -> int:
             engine_factories, program, args.repeat)
         fast_seconds = timings["fast"]
         compiled_seconds = timings["compiled"]
-        chained_seconds = timings["chained"]
         label = name + ("[" + ",".join(f"{k}={v}" for k, v in sorted(params.items()))
                         + "]" if params else "")
         rows.append({
@@ -306,38 +293,29 @@ def _cmd_bench_json(args: argparse.Namespace) -> int:
             "iterations": workload.iterations,
             "cycles": stats["fast"].cycles,
             "instructions": stats["fast"].instructions_committed,
-            "engines_agree": stats["fast"].cycles == stats["compiled"].cycles
-            == stats["chained"].cycles,
+            "engines_agree": stats["fast"].cycles == stats["compiled"].cycles,
             "fast_seconds": round(fast_seconds, 6),
             "compiled_seconds": round(compiled_seconds, 6),
-            "compiled_chained_seconds": round(chained_seconds, 6),
             "compiled_speedup_vs_fast": round(fast_seconds / compiled_seconds, 6),
-            "chained_speedup_vs_fast": round(fast_seconds / chained_seconds, 6),
-            "chained_speedup_vs_plain": round(
-                compiled_seconds / chained_seconds, 6),
         })
         print(f"{label:32s} fast {fast_seconds * 1e3:8.2f} ms   "
               f"compiled {compiled_seconds * 1e3:8.2f} ms   "
-              f"chained {chained_seconds * 1e3:8.2f} ms   "
-              f"{compiled_seconds / chained_seconds:5.2f}x pgo")
+              f"{fast_seconds / compiled_seconds:5.2f}x")
     # Per-machine-config Dhrystone rows: the design-space sensitivity of the
-    # headline benchmark, cross-checked fast vs compiled vs PGO per corner.
+    # headline benchmark, cross-checked fast vs compiled per corner.
     machine_rows = []
     program, _, workload = software.compile_named_workload("dhrystone", {})
     for machine in machine_names():
         fast_stats = FastEngine(program, machine=machine).run_with_stats()
         compiled_stats = CompiledEngine(
             program, machine=machine).run_with_stats()
-        pgo_stats = CompiledEngine(
-            program, machine=machine, pgo=True).run_with_stats()
         machine_rows.append({
             "machine": machine,
             "workload": "dhrystone",
             "iterations": workload.iterations,
             "cycles": fast_stats.cycles,
             "cpi": round(fast_stats.cpi, 6),
-            "engines_agree": fast_stats.cycles == compiled_stats.cycles
-            == pgo_stats.cycles,
+            "engines_agree": fast_stats.cycles == compiled_stats.cycles,
         })
         print(f"dhrystone@{machine:22s} {fast_stats.cycles:>10d} cycles   "
               f"CPI {fast_stats.cpi:5.3f}   "
@@ -821,8 +799,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.sim.compiled import CHAIN_PLAN_VERSION, CompiledEngine, \
-        chain_plan_digest
+    from repro.sim.compiled import CompiledEngine
 
     params = {}
     if args.params:
@@ -842,34 +819,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     except (KeyError, TypeError) as exc:
         print(f"art9 profile: {exc}", file=sys.stderr)
         return 2
-    # Profiles run on the unchained static partition — the same per-
-    # superblock rows PR 8 pinned, and exactly the probe pass the PGO mode
-    # derives its plan from (so --pgo-plan dumps what pgo=True would pick).
-    engine = CompiledEngine(program, machine=args.machine, profile=True,
-                            chain=False,
-                            record_edges=args.pgo_plan is not None)
+    engine = CompiledEngine(program, machine=args.machine, profile=True)
     stats = engine.run_with_stats(max_cycles=args.max_cycles)
     rows = engine.block_profile()
     rows.sort(key=lambda row: (-row["instructions"], row["pc"]))
     executed = engine.instructions_executed
     accounted = sum(row["instructions"] for row in rows)
-    if args.pgo_plan:
-        plan = engine.pgo_plan_from_profile()
-        payload = {
-            "version": CHAIN_PLAN_VERSION,
-            "workload": args.workload,
-            "params": params,
-            "machine": args.machine,
-            "program_digest": engine.content_digest(),
-            "digest": chain_plan_digest(plan),
-            "traces": {str(head): members
-                       for head, members in sorted(plan.items())},
-        }
-        with open(args.pgo_plan, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"pgo chain plan ({len(plan)} traces) written to "
-              f"{args.pgo_plan}", file=sys.stderr)
     if args.json_out:
         document = {
             "workload": args.workload,
@@ -1034,11 +989,6 @@ def build_parser() -> argparse.ArgumentParser:
                      default=DEFAULT_MACHINE_NAME,
                      help="machine (microarchitecture) config "
                           f"(default: {DEFAULT_MACHINE_NAME})")
-    run.add_argument("--pgo", action="store_true",
-                     help="profile-guided recompilation (compiled engine "
-                          "only): profile one architectural pass, then "
-                          "recompile hot superblocks as chained traces; "
-                          "results are bit-identical")
     run.set_defaults(func=_cmd_run)
 
     bench = subparsers.add_parser("bench", help="run the bundled benchmarks")
@@ -1236,11 +1186,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--json", action="store_true", dest="json_out",
                          help="emit the full profile as JSON on stdout "
                               "instead of the table")
-    profile.add_argument("--pgo-plan", metavar="PATH", default=None,
-                         help="also write the chain plan the PGO mode would "
-                              "derive from this profile (trace heads -> "
-                              "chained block lists, with the plan digest "
-                              "that joins the codegen cache key)")
     profile.set_defaults(func=_cmd_profile)
 
     cache_cmd = subparsers.add_parser(

@@ -79,24 +79,15 @@ class HardwareFramework:
     def __init__(self, technology: Optional[TechnologyLibrary] = None,
                  fpga_model: Optional[FPGAEmulationModel] = None,
                  engine: str = "fast",
-                 machine: Optional[MachineConfig] = None,
-                 pgo: bool = False):
+                 machine: Optional[MachineConfig] = None):
         if engine not in SIMULATION_ENGINES:
             raise ValueError(
                 f"unknown simulation engine {engine!r}; known: {SIMULATION_ENGINES}"
             )
-        if pgo and engine != "compiled":
-            raise ValueError(
-                f"pgo=True requires engine='compiled', got {engine!r}")
         self.technology = technology or cntfet_32nm_library()
         self.fpga_model = fpga_model or stratix_v_model()
         self.analyzer = GateLevelAnalyzer()
         self.engine = engine
-        #: Profile-guided recompilation for the compiled engine: profile a
-        #: first architectural pass, then overlay hot superblocks with
-        #: extended traces chained across observed dominant successors.
-        #: Results stay bit-identical; only throughput changes.
-        self.pgo = bool(pgo)
         #: Microarchitecture description shared by all three engines (a
         #: :class:`MachineConfig`, a built-in config name or ``None`` for
         #: the paper's default machine).
@@ -135,7 +126,7 @@ class HardwareFramework:
         if engine == "fast":
             runner = FastEngine(program, machine=machine)
         elif engine == "compiled":
-            runner = CompiledEngine(program, machine=machine, pgo=self.pgo)
+            runner = CompiledEngine(program, machine=machine)
             runner.prepare(timing=True)
         elif engine == "pipeline":
             runner = PipelineSimulator(program, machine=machine)

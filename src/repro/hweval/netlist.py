@@ -53,9 +53,8 @@ class DatapathBlock:
         return sum(self.gates.values())
 
 
-def _block(name, stage, gates, chain=(), order=None):
-    return DatapathBlock(name=name, stage=stage, gates=dict(gates),
-                         critical_chain=tuple(chain), path_order=order)
+def _block(name, stage, gates, critical=(), order=None):
+    return DatapathBlock(name, stage, dict(gates), tuple(critical), order)
 
 
 def art9_datapath_netlist() -> List[DatapathBlock]:
@@ -66,12 +65,12 @@ def art9_datapath_netlist() -> List[DatapathBlock]:
             "program_counter", "IF",
             # PC register plus the stall/redirect selection network.
             {GateKind.FLIPFLOP: W, GateKind.MUX: 2 * W},
-            chain=(GateKind.MUX,),
+            critical=(GateKind.MUX,),
         ),
         _block(
             "pc_increment_adder", "IF",
             {GateKind.HALF_ADDER: W},
-            chain=(GateKind.HALF_ADDER,) * 3,  # carry chain is short for +1
+            critical=(GateKind.HALF_ADDER,) * 3,  # carry chain is short for +1
         ),
         _block(
             "if_id_latch", "IF",
@@ -81,44 +80,44 @@ def art9_datapath_netlist() -> List[DatapathBlock]:
         _block(
             "main_decoder", "ID",
             {GateKind.DECODER: 40, GateKind.NTI: 8, GateKind.PTI: 8},
-            chain=(GateKind.DECODER, GateKind.DECODER),
+            critical=(GateKind.DECODER, GateKind.DECODER),
         ),
         _block(
             "register_file", "ID",
             # 9 registers x 9 trits of storage plus two read ports built from
             # two cascaded levels of 3:1 selection per trit and port.
             {GateKind.FLIPFLOP: 9 * W, GateKind.MUX: 2 * 4 * W, GateKind.DECODER: 9},
-            chain=(GateKind.MUX, GateKind.MUX),
+            critical=(GateKind.MUX, GateKind.MUX),
             order=0,
         ),
         _block(
             "immediate_extender", "ID",
             # Sign-extension / field-selection of the 2/3/4/5-trit immediates.
             {GateKind.MUX: W, GateKind.DECODER: 3},
-            chain=(GateKind.MUX,),
+            critical=(GateKind.MUX,),
         ),
         _block(
             "branch_target_adder", "ID",
             {GateKind.FULL_ADDER: W, GateKind.MUX: W},
-            chain=(GateKind.FULL_ADDER,) * 4 + (GateKind.MUX,),
+            critical=(GateKind.FULL_ADDER,) * 4 + (GateKind.MUX,),
             order=1,
         ),
         _block(
             "branch_condition_checker", "ID",
             {GateKind.COMPARATOR: 2, GateKind.XOR: 2, GateKind.MUX: 4},
-            chain=(GateKind.MUX, GateKind.COMPARATOR, GateKind.XOR),
+            critical=(GateKind.MUX, GateKind.COMPARATOR, GateKind.XOR),
             order=2,
         ),
         _block(
             "hazard_detection_unit", "ID",
             {GateKind.COMPARATOR: 6, GateKind.AND: 8, GateKind.OR: 6},
-            chain=(GateKind.COMPARATOR, GateKind.AND, GateKind.OR),
+            critical=(GateKind.COMPARATOR, GateKind.AND, GateKind.OR),
         ),
         _block(
             "stall_control", "ID",
             # NOP insertion multiplexers driven by the stall control signal.
             {GateKind.MUX: 2 * W, GateKind.AND: 4},
-            chain=(GateKind.AND, GateKind.MUX),
+            critical=(GateKind.AND, GateKind.MUX),
         ),
         _block(
             "id_ex_latch", "ID",
@@ -128,38 +127,38 @@ def art9_datapath_netlist() -> List[DatapathBlock]:
         _block(
             "forwarding_muxes", "EX",
             {GateKind.MUX: 2 * 2 * W, GateKind.COMPARATOR: 6},
-            chain=(GateKind.COMPARATOR, GateKind.MUX, GateKind.MUX),
+            critical=(GateKind.COMPARATOR, GateKind.MUX, GateKind.MUX),
             order=0,
         ),
         _block(
             "talu_adder", "EX",
             # Ripple adder with an STI row on the second operand for SUB.
             {GateKind.FULL_ADDER: W, GateKind.STI: W, GateKind.MUX: W},
-            chain=(GateKind.MUX, GateKind.STI) + (GateKind.FULL_ADDER,) * W,
+            critical=(GateKind.MUX, GateKind.STI) + (GateKind.FULL_ADDER,) * W,
             order=1,
         ),
         _block(
             "talu_logic_unit", "EX",
             {GateKind.AND: W, GateKind.OR: W, GateKind.XOR: W,
              GateKind.STI: W, GateKind.NTI: W, GateKind.PTI: W},
-            chain=(GateKind.XOR,),
+            critical=(GateKind.XOR,),
         ),
         _block(
             "talu_shifter", "EX",
             # Two mux stages shift by 1 or 3 trit positions (amounts 0..4
             # per instruction; larger shifts issue as multiple instructions).
             {GateKind.MUX: 2 * W},
-            chain=(GateKind.MUX, GateKind.MUX),
+            critical=(GateKind.MUX, GateKind.MUX),
         ),
         _block(
             "talu_comparator", "EX",
             {GateKind.COMPARATOR: W, GateKind.MUX: W - 1},
-            chain=(GateKind.COMPARATOR,) + (GateKind.MUX,) * 3,
+            critical=(GateKind.COMPARATOR,) + (GateKind.MUX,) * 3,
         ),
         _block(
             "talu_result_mux", "EX",
             {GateKind.MUX: 3 * W},
-            chain=(GateKind.MUX, GateKind.MUX),
+            critical=(GateKind.MUX, GateKind.MUX),
             order=2,
         ),
         _block(
@@ -170,7 +169,7 @@ def art9_datapath_netlist() -> List[DatapathBlock]:
         _block(
             "memory_interface", "MEM",
             {GateKind.MUX: W, GateKind.DECODER: 4},
-            chain=(GateKind.MUX,),
+            critical=(GateKind.MUX,),
         ),
         _block(
             "mem_wb_latch", "MEM",
@@ -180,7 +179,7 @@ def art9_datapath_netlist() -> List[DatapathBlock]:
         _block(
             "writeback_mux", "WB",
             {GateKind.MUX: W},
-            chain=(GateKind.MUX,),
+            critical=(GateKind.MUX,),
         ),
     ]
     return blocks

@@ -54,6 +54,7 @@ from repro.service.journal import RunJournal
 from repro.service.protocol import (
     MAX_MESSAGE_BYTES,
     PROTOCOL_VERSION,
+    cancel_and_wait,
     read_message,
     send_and_drain,
     send_message,
@@ -253,9 +254,7 @@ class Coordinator:
         try:
             await self._all_done.wait()
         finally:
-            watchdog.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await watchdog
+            await cancel_and_wait(watchdog)
             server.close()
             if self._fatal is None and self.outstanding <= 0:
                 # The run completed: tell every still-connected worker so

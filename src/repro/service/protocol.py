@@ -70,6 +70,7 @@ a killed-and-``--resume``-restarted coordinator pick its fleet back up.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import hmac
 import json
 from typing import Optional
@@ -135,3 +136,40 @@ async def send_and_drain(writer: asyncio.StreamWriter, message: dict) -> None:
     """Send one message and wait for the transport buffer to flush."""
     send_message(writer, message)
     await writer.drain()
+
+
+async def cancel_and_wait(task: asyncio.Task) -> None:
+    """Cancel a helper task and wait until it has finished.
+
+    ``asyncio.wait`` never raises the helper's own
+    :class:`asyncio.CancelledError`, so one that reaches the caller was
+    aimed at the caller and propagates; awaiting the task under
+    ``suppress(CancelledError)`` would absorb both.  An exception the
+    helper died of is re-raised.
+    """
+    task.cancel()
+    await asyncio.wait({task})
+    if not task.cancelled():
+        task.result()
+
+
+async def read_message_within(reader: asyncio.StreamReader,
+                              timeout: float) -> Optional[dict]:
+    """:func:`read_message` bounded by ``timeout`` seconds.
+
+    Raises :class:`asyncio.TimeoutError` when no message arrives in time.
+    Before Python 3.12, ``asyncio.wait_for`` returns the inner result when
+    it completes together with a cancellation of the caller, dropping the
+    cancellation; this never does.
+    """
+    read = asyncio.ensure_future(read_message(reader))
+    try:
+        done, _ = await asyncio.wait({read}, timeout=timeout)
+    except asyncio.CancelledError:
+        with contextlib.suppress(Exception):  # the caller's cancel wins
+            await cancel_and_wait(read)
+        raise
+    if not done:
+        await cancel_and_wait(read)
+        raise asyncio.TimeoutError
+    return read.result()

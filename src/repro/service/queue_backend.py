@@ -20,7 +20,6 @@ fork-only behaviour.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import multiprocessing
 from typing import Callable, List, Mapping, Optional, Sequence
 
@@ -33,6 +32,7 @@ from repro.service.coordinator import (
     CoordinatorStats,
 )
 from repro.service.journal import RunJournal
+from repro.service.protocol import cancel_and_wait
 from repro.service.workerclient import (
     DEFAULT_HEARTBEAT_INTERVAL,
     run_worker_process,
@@ -124,9 +124,7 @@ class AsyncQueueBackend(ExecutionBackend):
             await serve_task
         finally:
             if monitor is not None:
-                monitor.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await monitor
+                await cancel_and_wait(monitor)
             for process in processes:
                 process.join(timeout=10)
                 if process.is_alive():  # pragma: no cover - cleanup backstop

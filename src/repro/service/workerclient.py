@@ -57,7 +57,8 @@ from repro.runner.worker import execute_job
 from repro.service.protocol import (
     MAX_MESSAGE_BYTES,
     PROTOCOL_VERSION,
-    read_message,
+    cancel_and_wait,
+    read_message_within,
     send_and_drain,
 )
 
@@ -256,8 +257,7 @@ async def _serve_connection(
         await send_and_drain(writer, {"type": "next"})
     while True:
         try:
-            message = await asyncio.wait_for(read_message(reader),
-                                             timeout=reply_timeout)
+            message = await read_message_within(reader, reply_timeout)
         except asyncio.TimeoutError:
             return "lost"  # coordinator vanished without closing the socket
         if message is None:
@@ -293,9 +293,7 @@ async def _serve_connection(
             record = await _execute_with_timeout(loop, executor, job,
                                                  job_timeout, summary)
         finally:
-            heartbeat.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await heartbeat
+            await cancel_and_wait(heartbeat)
         summary.jobs_completed += 1
         session.pending_record = record
         await send_and_drain(writer, {"type": "result", "record": record})

@@ -10,6 +10,7 @@ completed elsewhere.
 """
 
 import asyncio
+import concurrent.futures
 
 import pytest
 
@@ -281,6 +282,72 @@ class TestEmitFailure:
         asyncio.run(scenario())
         # The record was never marked done, so nothing claims success.
         assert coordinator.stats.results_accepted == 0
+
+
+class _InlineExecutor(concurrent.futures.ThreadPoolExecutor):
+    """Runs each job synchronously on the loop thread.
+
+    ``run_in_executor`` still wraps the result in a future that resolves
+    on a later loop iteration, but without a thread the iteration on which
+    each step happens is fixed, so a test can aim a cancel at an exact one.
+    """
+
+    def submit(self, fn, *args, **kwargs):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
+class TestWorkerCancellation:
+    def test_cancel_mid_job_stops_the_worker_within_a_second(self):
+        """A cancel aimed at the worker must stop it, wherever it lands.
+
+        The cancel lands ``hops`` loop iterations after the first job
+        returns, which walks it across the job's future resolving, the
+        wind-down of the job's heartbeat task and the arrival of the
+        coordinator's next reply.  A worker that absorbs the cancel carries
+        on serving instead, and after a lost connection spends its whole
+        reconnect budget.
+        """
+        for hops in range(24):
+            coordinator = Coordinator(_jobs(2))
+            outcome = {}
+
+            async def scenario():
+                loop = asyncio.get_running_loop()
+                loop.set_default_executor(_InlineExecutor())
+                serve = asyncio.create_task(coordinator.serve())
+                port = await coordinator.wait_started()
+                tasks = {}
+
+                def cancel_later(remaining):
+                    if remaining:
+                        loop.call_soon(cancel_later, remaining - 1)
+                    else:
+                        outcome["cancelled_at"] = loop.time()
+                        outcome["running"] = not tasks["worker"].done()
+                        tasks["worker"].cancel()
+
+                def executor(job):
+                    if not outcome:
+                        outcome["armed"] = True
+                        loop.call_soon(cancel_later, hops)
+                    return _stub_executor(job)
+
+                worker = tasks["worker"] = asyncio.create_task(
+                    work_async("127.0.0.1", port, executor=executor))
+                await asyncio.wait({worker}, timeout=5.0)
+                if "cancelled_at" in outcome:
+                    outcome["elapsed"] = loop.time() - outcome["cancelled_at"]
+                outcome["cancelled"] = worker.cancelled()
+                for task in (worker, serve):
+                    task.cancel()
+                await asyncio.wait({worker, serve}, timeout=5.0)
+
+            asyncio.run(scenario())
+            if outcome.get("running"):
+                assert outcome["cancelled"], f"hops={hops}: cancel absorbed"
+                assert outcome["elapsed"] < 1.0, f"hops={hops}"
 
 
 class TestHeartbeatHandshake:

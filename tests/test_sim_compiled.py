@@ -241,6 +241,32 @@ class TestEngineContract:
         assert compiled.registers_snapshot() == fast.registers_snapshot()
         assert compiled.instruction_mix() == fast.instruction_mix()
 
+    def test_timed_fault_in_a_jump_target_block_keeps_profile_exact(self):
+        # The STORE faults one instruction into the block the JAL enters,
+        # under the timing model: the restored state must match the fast
+        # engine, and the profile charges the faulting block only its
+        # committed prefix, so the rows still sum to the executed count.
+        program = assemble(
+            "LI T2, 100\nJAL T8, tail\nHALT\n"
+            "tail:\nADDI T3, 1\nSTORE T1, T2, 0\nHALT")
+        fast = FastEngine(program, tdm_depth=64)
+        compiled = CompiledEngine(program, tdm_depth=64, cache=None,
+                                  profile=True)
+        with pytest.raises(MemoryError_) as fast_exc:
+            fast.run_with_stats()
+        with pytest.raises(MemoryError_) as compiled_exc:
+            compiled.run_with_stats()
+        assert str(compiled_exc.value) == str(fast_exc.value)
+        assert compiled.pc == fast.pc == 4
+        assert compiled.instructions_executed == fast.instructions_executed == 3
+        assert compiled.registers_snapshot() == fast.registers_snapshot()
+        assert compiled.instruction_mix() == fast.instruction_mix()
+        rows = compiled.block_profile()
+        assert [(row["pc"], row["instructions"]) for row in rows] == \
+            [(0, 2), (3, 1)]
+        assert sum(row["instructions"] for row in rows) == \
+            compiled.instructions_executed
+
     def test_data_segment_out_of_depth_rejected_like_fast_engine(self):
         from repro.isa.program import DataSegment
         program = assemble("HALT")
