@@ -69,6 +69,12 @@ DEFAULT_HEARTBEAT_TIMEOUT = 15.0
 #: Default number of requeues before a job is declared lost.
 DEFAULT_MAX_REQUEUES = 3
 
+#: Longest the first job waits for ``expected_workers`` to say hello.
+WORKER_GATE_TIMEOUT = 10.0
+
+#: Poll delay handed to workers that connected before the gate opened.
+WORKER_GATE_POLL = 0.02
+
 
 @dataclass
 class _InFlight:
@@ -146,6 +152,11 @@ class Coordinator:
     poison-job budget from a journal replay so a ``--resume`` restart does
     not hand a crashing job a fresh set of attempts; ``auth_token``
     requires every connection to authenticate its first message.
+
+    ``expected_workers`` holds back the first job until that many workers
+    have said hello (or :data:`WORKER_GATE_TIMEOUT` passes, or
+    :meth:`open_worker_gate` is called), so a fleet started together
+    shares the grid instead of the fastest-starting worker draining it.
     """
 
     def __init__(
@@ -160,6 +171,7 @@ class Coordinator:
         auth_token: Optional[str] = None,
         dispatch_counts: Optional[Mapping[str, int]] = None,
         recovered_jobs: int = 0,
+        expected_workers: int = 0,
     ):
         self._pending: Deque[SweepJob] = deque(jobs)
         self._on_result = on_result
@@ -182,6 +194,8 @@ class Coordinator:
         # "last_seen"} for the live status snapshot; purely observational.
         self._worker_stats: Dict[str, dict] = {}
         self._seen_worker_names: set = set()
+        self._expected_workers = expected_workers
+        self._gate_deadline = 0.0
         self._connection_ids = itertools.count(1)
         self._handler_tasks: set = set()
         self._writers: set = set()
@@ -204,6 +218,18 @@ class Coordinator:
         """
         await self._started.wait()
         return self.port
+
+    def open_worker_gate(self) -> None:
+        """Start dispatching without waiting for more workers to join."""
+        self._expected_workers = 0
+
+    def _gate_closed(self) -> bool:
+        if len(self._seen_worker_names) >= self._expected_workers:
+            return False
+        if time.monotonic() >= self._gate_deadline:
+            self.open_worker_gate()
+            return False
+        return True
 
     @property
     def connected_workers(self) -> int:
@@ -249,6 +275,7 @@ class Coordinator:
                 f"cannot listen on {self._host}:{self._requested_port}: {exc}"
             ) from exc
         self.port = server.sockets[0].getsockname()[1]
+        self._gate_deadline = time.monotonic() + WORKER_GATE_TIMEOUT
         self._started.set()
         watchdog = asyncio.create_task(self._watchdog())
         try:
@@ -438,6 +465,8 @@ class Coordinator:
 
     def _assign(self, connection_id: int, worker: str) -> dict:
         """Next reply for an idle worker: a job, a wait, or done."""
+        if self._pending and self._gate_closed():
+            return {"type": "wait", "delay": WORKER_GATE_POLL}
         if self._pending:
             job = self._pending.popleft()
             now = time.monotonic()

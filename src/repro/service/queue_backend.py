@@ -6,7 +6,9 @@ connected over TCP.  Two deployment shapes share the one implementation:
 
 * ``workers=N`` (N >= 1) spawns N local worker processes against the
   coordinator's ephemeral port — a single-machine distributed run, which is
-  what the CI regression job and the backend conformance suite use;
+  what the CI regression job and the backend conformance suite use.  The
+  first job waits until all N have connected, so every worker takes part
+  however unevenly their interpreters start;
 * ``workers=0`` binds the requested host/port and waits for external
   ``art9 work --connect host:port`` clients — the multi-machine shape
   behind ``art9 serve``.
@@ -109,6 +111,7 @@ class AsyncQueueBackend(ExecutionBackend):
             auth_token=self.auth_token,
             dispatch_counts=self.dispatch_counts,
             recovered_jobs=self.recovered_jobs,
+            expected_workers=self.workers,
         )
         serve_task = asyncio.create_task(coordinator.serve())
         await coordinator.wait_started()
@@ -144,6 +147,8 @@ class AsyncQueueBackend(ExecutionBackend):
             await asyncio.sleep(0.5)
             if coordinator.outstanding <= 0:
                 return
+            if not all(process.is_alive() for process in processes):
+                coordinator.open_worker_gate()  # a dead one never says hello
             if (all(not process.is_alive() for process in processes)
                     and coordinator.connected_workers == 0):
                 coordinator.abort("all local worker processes exited and "

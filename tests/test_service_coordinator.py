@@ -419,6 +419,88 @@ class TestWorkerMonitor:
         assert len(records) == 1 and records[0]["status"] == "ok"
 
 
+
+class _Process:
+    def __init__(self, alive):
+        self.alive = alive
+
+    def is_alive(self):
+        return self.alive
+
+
+async def _named_client(port, name):
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    await send_and_drain(writer, {"type": "hello", "worker": name, "pid": 0})
+    return reader, writer
+
+
+class TestWorkerGate:
+    def test_first_job_waits_until_the_expected_fleet_has_joined(self):
+        coordinator = Coordinator(_jobs(2), expected_workers=2)
+        replies = []
+
+        async def scenario():
+            serve = asyncio.create_task(coordinator.serve())
+            port = await coordinator.wait_started()
+            early = await _named_client(port, "early")
+            await send_and_drain(early[1], {"type": "next"})
+            replies.append((await read_message(early[0]))["type"])
+            late = await _named_client(port, "late")
+            # The late worker's own hello precedes its request, so the
+            # gate is open by the time either worker asks again.
+            leased = [await _take_job(*late), await _take_job(*early)]
+            for message, (_, writer) in zip(leased, (late, early)):
+                record = {"job_id": message["job_id"], "status": "ok",
+                          "verified": True, "cycles": 1}
+                await send_and_drain(writer, {"type": "result",
+                                              "record": record})
+            await serve
+            for _, writer in (early, late):
+                writer.close()
+
+        asyncio.run(scenario())
+        assert replies == ["wait"]
+        assert coordinator.stats.results_accepted == 2
+
+    def test_a_dead_local_worker_opens_the_gate(self):
+        from repro.service.queue_backend import AsyncQueueBackend
+        records = []
+        coordinator = Coordinator(_jobs(3), on_result=records.append,
+                                  expected_workers=2)
+
+        async def scenario():
+            serve = asyncio.create_task(coordinator.serve())
+            port = await coordinator.wait_started()
+            monitor = asyncio.create_task(AsyncQueueBackend._monitor(
+                [_Process(alive=False), _Process(alive=True)], coordinator))
+            await asyncio.wait_for(asyncio.gather(
+                work_async("127.0.0.1", port, name="w1",
+                           executor=_stub_executor),
+                serve, monitor), timeout=5.0)
+
+        asyncio.run(scenario())
+        assert len(records) == 3
+        assert coordinator.stats.workers_seen == 1
+
+    def test_gate_gives_up_waiting_after_its_timeout(self, monkeypatch):
+        from repro.service import coordinator as coordinator_module
+        monkeypatch.setattr(coordinator_module, "WORKER_GATE_TIMEOUT", 0.2)
+        records = []
+        coordinator = Coordinator(_jobs(2), on_result=records.append,
+                                  expected_workers=3)
+
+        async def scenario():
+            serve = asyncio.create_task(coordinator.serve())
+            port = await coordinator.wait_started()
+            await asyncio.wait_for(asyncio.gather(
+                work_async("127.0.0.1", port, name="w1",
+                           executor=_stub_executor),
+                serve), timeout=5.0)
+
+        asyncio.run(scenario())
+        assert len(records) == 2
+
+
 class TestBindFailure:
     def test_occupied_port_raises_instead_of_hanging(self):
         """A bind failure must unblock wait_started and surface the error."""

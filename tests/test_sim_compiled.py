@@ -9,7 +9,7 @@ codegen artifact-cache integration.
 
 import pytest
 
-from repro.cache import ArtifactCache
+from repro.cache import ArtifactCache, cache_key
 from repro.framework import HardwareFramework, SoftwareFramework
 from repro.isa.assembler import assemble
 from repro.isa.program import Program
@@ -27,6 +27,7 @@ from repro.sim.compiled import (
     superblock_leaders,
     superblock_span,
 )
+from repro.sim.machine import machine_names
 from repro.testing import generate_program
 from repro.testing.differential import STATS_FIELDS
 from repro.workloads import all_workloads
@@ -62,6 +63,29 @@ ADDI T5, 1
 skip:
 HALT
 """
+
+
+#: A JAL into a block whose tail branch and JALR send the second pass to
+#: address 5, the middle of that jump-target block.
+JALR_INTO_JUMP_TARGET_SOURCE = """
+LI T1, 5
+LI T5, 1
+JAL T8, tail
+HALT
+tail:
+ADDI T3, 1
+ADDI T3, 1
+BNE T5, 0, go
+LI T1, 3
+go:
+LI T5, 0
+JALR T2, T1, 0
+"""
+
+
+def _assert_stats_equal(stats, reference):
+    for field in STATS_FIELDS:
+        assert getattr(stats, field) == getattr(reference, field), field
 
 
 @pytest.fixture(scope="module")
@@ -285,6 +309,102 @@ class TestEngineContract:
         assert engine.register_snapshot() == engine.registers_snapshot()
 
 
+@pytest.mark.parametrize("machine", machine_names())
+class TestEdgeCasesOnEveryMachine:
+    """The block-seam edge cases under every built-in timing config.
+
+    Machine configs change the redirect, load-use and forwarding costs the
+    codegen folds into each block, so each awkward entry or exit is
+    checked against the fast engine on all of them.
+    """
+
+    def test_jalr_into_the_middle_of_a_jump_target_block(self, machine):
+        program = assemble(JALR_INTO_JUMP_TARGET_SOURCE, name="jalr-mid")
+        fast = FastEngine(program, machine=machine)
+        fast_stats = fast.run_with_stats()
+        for profile in (False, True):
+            engine = CompiledEngine(program, cache=None, machine=machine,
+                                    profile=profile)
+            _assert_stats_equal(engine.run_with_stats(), fast_stats)
+            assert engine.register_snapshot() == fast.register_snapshot()
+            assert 5 in engine._tables[True]  # the lazily compiled suffix
+            assert 5 not in engine.block_map()
+        rows = engine.block_profile()
+        assert sum(row["instructions"] for row in rows) == \
+            engine.instructions_executed
+
+    def test_timed_fault_in_a_jump_target_block(self, machine):
+        program = assemble(
+            "LI T2, 100\nJAL T8, tail\nHALT\n"
+            "tail:\nADDI T3, 1\nSTORE T1, T2, 0\nHALT")
+        fast = FastEngine(program, tdm_depth=64, machine=machine)
+        engine = CompiledEngine(program, tdm_depth=64, cache=None,
+                                machine=machine, profile=True)
+        with pytest.raises(MemoryError_) as fast_exc:
+            fast.run_with_stats()
+        with pytest.raises(MemoryError_) as engine_exc:
+            engine.run_with_stats()
+        assert str(engine_exc.value) == str(fast_exc.value)
+        assert engine.pc == fast.pc == 4
+        assert engine.instructions_executed == fast.instructions_executed
+        assert engine.registers_snapshot() == fast.registers_snapshot()
+        assert engine.instruction_mix() == fast.instruction_mix()
+        assert sum(row["instructions"] for row in engine.block_profile()) \
+            == engine.instructions_executed
+
+    def test_cycle_budget_error_matches_fast_engine(self, machine):
+        program = assemble("LI T1, 0\nloop:\nADDI T1, 1\nJAL T6, loop")
+        with pytest.raises(SimulationError) as fast_exc:
+            FastEngine(program, machine=machine).run_with_stats(
+                max_cycles=1_000)
+        with pytest.raises(SimulationError) as engine_exc:
+            CompiledEngine(program, cache=None, machine=machine) \
+                .run_with_stats(max_cycles=1_000)
+        assert str(engine_exc.value) == str(fast_exc.value)
+
+    def test_profiled_dhrystone_keeps_timing_and_sums_exactly(
+            self, machine, translated_workloads):
+        program = translated_workloads["dhrystone"]
+        fast = FastEngine(program, machine=machine)
+        fast_stats = fast.run_with_stats()
+        engine = CompiledEngine(program, cache=None, machine=machine,
+                                profile=True)
+        _assert_stats_equal(engine.run_with_stats(), fast_stats)
+        assert engine.register_snapshot() == fast.register_snapshot()
+        assert engine.tdm.contents() == fast.tdm.contents()
+        rows = engine.block_profile()
+        assert sum(row["instructions"] for row in rows) == \
+            engine.instructions_executed
+
+    def test_timed_random_programs_match_fast_engine(self, machine):
+        """Randomized programs under the timing model, errors included."""
+        for seed in range(25):
+            program = generate_program(seed)
+            # Odd seeds run in a 243-word TDM, where most of them fault.
+            depth = {"tdm_depth": 243} if seed % 2 else {}
+            fast = FastEngine(program, machine=machine, **depth)
+            engine = CompiledEngine(program, cache=None, machine=machine,
+                                    **depth)
+            fast_error = engine_error = None
+            try:
+                fast_stats = fast.run_with_stats(max_cycles=20_000)
+            except (SimulationError, MemoryError_) as exc:
+                fast_error = str(exc)
+            try:
+                stats = engine.run_with_stats(max_cycles=20_000)
+            except (SimulationError, MemoryError_) as exc:
+                engine_error = str(exc)
+            assert engine_error == fast_error, f"seed {seed}"
+            assert engine.instructions_executed == \
+                fast.instructions_executed, f"seed {seed}"
+            assert engine.registers_snapshot() == \
+                fast.registers_snapshot(), f"seed {seed}"
+            if fast_error is None:
+                _assert_stats_equal(stats, fast_stats)
+                assert engine.tdm.contents() == fast.tdm.contents(), \
+                    f"seed {seed}"
+
+
 class TestCodegenArtifacts:
     @pytest.fixture(autouse=True)
     def fresh_memo(self):
@@ -377,6 +497,23 @@ class TestCodegenArtifacts:
             merged = json.load(handle)
         # ...and its republish keeps the other worker's suffix 3 too.
         assert {"3", "5"} <= set(merged["blocks"])
+
+    def test_plain_and_profiled_bundles_never_cross(self, tmp_path):
+        program = assemble(DIRECTED_SOURCE, name="key-isolation")
+        cache = ArtifactCache(str(tmp_path / "artifacts"))
+        plain = CompiledEngine(program, cache=cache)
+        profiled = CompiledEngine(program, cache=cache, profile=True)
+        for engine in (plain, profiled):
+            engine.prepare(timing=True)
+        keys = {cache_key(engine._cache_key_material(True))
+                for engine in (plain, profiled)}
+        assert len(keys) == 2, "plain and profiled code share a cache key"
+        assert cache.entry_count("codegen") == 2
+        _CODE_MEMO.clear()
+        fresh = CompiledEngine(program, cache=cache, profile=True)
+        fresh.run_with_stats()
+        assert cache.entry_count("codegen") == 2
+        assert fresh.block_profile(), "a plain bundle was loaded"
 
     def test_in_process_memo_shares_codegen_between_engines(self):
         program = assemble(DIRECTED_SOURCE, name="memo-check")
