@@ -92,6 +92,10 @@ def run_parallel_fuzz(
                     machine=machine)
     chunks = _chunks(count, seed, jobs, max_instructions, check_pipeline,
                      machine, batch_lanes)
+    # Every differential run builds a BatchEngine; importing it (and numpy)
+    # before the fork lets the pool workers share one copy.
+    import repro.sim.batch
+
     with multiprocessing.Pool(processes=jobs) as pool:
         reports = pool.map(execute_fuzz_chunk, chunks)
     return _merge(reports)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 from repro.framework.hwflow import SIMULATION_ENGINES
@@ -75,13 +76,16 @@ class SweepJob:
         """The workload builder parameters as a plain dict."""
         return dict(self.params)
 
-    @property
+    @cached_property
     def job_id(self) -> str:
         """Content-addressed identity: stable across runs and processes.
 
         The ``machine`` key joins the identity blob only for non-default
         machines, so every pre-machine-axis job id (including the blessed
-        baseline run under ``benchmarks/baseline/``) is unchanged.
+        baseline run under ``benchmarks/baseline/``) is unchanged.  Hashed
+        once per instance, because the coordinator reads it on every
+        dispatch and result; the cached value lives in the instance
+        ``__dict__``, which the field-based equality and hashing ignore.
         """
         blob_dict = {
             "workload": self.workload,

@@ -29,7 +29,6 @@ from repro.framework.swflow import SoftwareFramework, WorkloadKey, workload_key
 from repro.obs import trace
 from repro.riscv.simulator import RVSimulator
 from repro.runner.spec import BASELINE_ENGINES, SweepJob
-from repro.sim.batch import BatchEngine, batchable_programs
 from repro.sim.machine import DEFAULT_MACHINE_NAME
 from repro.sim.trace import state_digest
 from repro.testing import FuzzReport, GeneratorConfig
@@ -260,6 +259,10 @@ def execute_job_batch(jobs: "list[SweepJob]") -> "list[dict]":
     """
     if len(jobs) == 1:
         return [execute_job(jobs[0])]
+    # Imported here, not at module scope: the batch engine is the only
+    # numpy user, and queue workers never batch.
+    from repro.sim.batch import BatchEngine, batchable_programs
+
     started = time.perf_counter()
     try:
         compiled = []

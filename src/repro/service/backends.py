@@ -102,6 +102,11 @@ class MultiprocessingBackend(ExecutionBackend):
             SerialBackend(batch=self.batch).execute(jobs, emit)
             return
         if self.batch:
+            # Import the batch engine (and numpy) here, before the pool
+            # forks, so the workers share its pages instead of each
+            # importing their own copy.
+            import repro.sim.batch
+
             groups = batchable_groups(list(jobs))
             with multiprocessing.Pool(processes=self.processes) as pool:
                 for records in pool.imap_unordered(execute_job_batch, groups,

@@ -44,7 +44,7 @@ import contextlib
 import itertools
 import logging
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, Mapping, Optional, Sequence
 
@@ -174,6 +174,11 @@ class Coordinator:
         expected_workers: int = 0,
     ):
         self._pending: Deque[SweepJob] = deque(jobs)
+        # job_id -> copies of it in ``_pending``, so accepting a result
+        # checks for a queued duplicate dispatch in O(1) instead of
+        # scanning the whole queue.
+        self._pending_counts: Counter = Counter(
+            job.job_id for job in self._pending)
         self._on_result = on_result
         self._host = host
         self._requested_port = port
@@ -189,7 +194,7 @@ class Coordinator:
         # reconnecting worker re-sending a record its previous coordinator
         # already persisted (and this --resume run therefore never
         # enqueued) must not inflate the done count past jobs_total.
-        self._known_jobs = {job.job_id for job in self._pending}
+        self._known_jobs = set(self._pending_counts)
         # worker name -> {"jobs_done", "requeues", "requeue_reasons",
         # "last_seen"} for the live status snapshot; purely observational.
         self._worker_stats: Dict[str, dict] = {}
@@ -396,7 +401,7 @@ class Coordinator:
                 return False
         self._done[job_id] = record
         self._in_flight.pop(job_id, None)
-        if any(job.job_id == job_id for job in self._pending):
+        if self._pending_counts.pop(job_id, 0):
             # The job was requeued after a timeout but the original worker
             # finished after all; drop the queued duplicate dispatch.
             self._pending = deque(
@@ -423,7 +428,7 @@ class Coordinator:
                                 attempts=attempts)
             self._accept(lost_job_record(entry.job, attempts, reason))
         while self._pending:
-            job = self._pending.popleft()
+            job = self._dequeue()
             self.stats.lost_jobs += 1
             attempts = self._dispatch_counts.get(job.job_id, 0)
             self._journal_event("lost", job_id=job.job_id, reason=reason,
@@ -462,13 +467,20 @@ class Coordinator:
         self._journal_event("requeued", job_id=entry.job.job_id,
                             reason=reason, worker=entry.worker, kind=kind)
         self._pending.append(entry.job)
+        self._pending_counts[entry.job.job_id] += 1
+
+    def _dequeue(self) -> SweepJob:
+        """Pop the next pending job, keeping ``_pending_counts`` in step."""
+        job = self._pending.popleft()
+        self._pending_counts[job.job_id] -= 1
+        return job
 
     def _assign(self, connection_id: int, worker: str) -> dict:
         """Next reply for an idle worker: a job, a wait, or done."""
         if self._pending and self._gate_closed():
             return {"type": "wait", "delay": WORKER_GATE_POLL}
         if self._pending:
-            job = self._pending.popleft()
+            job = self._dequeue()
             now = time.monotonic()
             self._in_flight[job.job_id] = _InFlight(
                 job=job, connection_id=connection_id, worker=worker,

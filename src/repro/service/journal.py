@@ -93,7 +93,7 @@ class RunJournal:
 
     def append(self, event: str, **fields) -> None:
         """Durably append one lifecycle event (whole line, fsync'd)."""
-        self.append_many([{"event": event, **fields}])
+        self._write([{"event": event, **fields}])
 
     def append_many(self, events: Iterable[dict]) -> None:
         """Append a batch of events under a single fsync.
@@ -102,6 +102,11 @@ class RunJournal:
         would serialize startup on disk latency for large grids, and the
         batch is all-or-nothing from the scheduler's point of view anyway.
         """
+        self._write(events)
+
+    def _write(self, events: Iterable[dict]) -> None:
+        # The one write-and-fsync path behind both public appends, so a
+        # wrapper around either one sees each fsync exactly once.
         handle = self._open()
         count = 0
         for payload in events:

@@ -45,7 +45,11 @@ coordinator → worker
         one :class:`~repro.runner.spec.SweepJob` as pure data;
     ``{"type": "wait", "delay": <seconds>}``
         nothing to hand out right now but the run is not finished (jobs
-        are in flight elsewhere and may yet be requeued);
+        are in flight elsewhere and may yet be requeued).  The worker
+        keeps reading the socket through the delay rather than sleeping:
+        a message that arrives meanwhile — in practice the ``done``
+        broadcast of a run that just completed — ends the wait at once,
+        and the worker exits on ``done`` instead of asking again;
     ``{"type": "done"}``
         every job has an accepted result — disconnect and exit.  Also
         broadcast to every still-connected worker when the coordinator

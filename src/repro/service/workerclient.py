@@ -274,7 +274,16 @@ async def _serve_connection(
         if mtype == "done":
             return "done"
         if mtype == "wait":
-            await asyncio.sleep(float(message.get("delay", 0.2)))
+            # Listen through the delay instead of sleeping: the coordinator
+            # broadcasts ``done`` the moment the run completes, and an idle
+            # worker that hears it exits now rather than after the delay.
+            with contextlib.suppress(asyncio.TimeoutError):
+                early = await read_message_within(
+                    reader, float(message.get("delay", 0.2)))
+                if early is None:
+                    return "lost"
+                if early.get("type") == "done":
+                    return "done"
             await send_and_drain(writer, {"type": "next"})
             continue
         if mtype != "job":

@@ -34,7 +34,7 @@ Use them (directly, through :func:`execute_program` /
 / ``engine="compiled"``) whenever throughput matters more than per-trit
 observability.
 
-``BatchEngine`` (in :mod:`repro.sim.batch`)
+``BatchEngine`` (in :mod:`repro.sim.batch`, imported on first use)
     The throughput tier: executes *many* lanes of one shared instruction
     stream concurrently, with registers and data memory as numpy arrays
     over a batch dimension.  Lanes that diverge (data-dependent branches,
@@ -66,7 +66,6 @@ from repro.sim.functional import ExecutionResult, FunctionalSimulator, Simulatio
 from repro.sim.pipeline import PipelineSimulator, PipelineStats
 from repro.sim.engine import FastEngine, execute_program
 from repro.sim.compiled import CompiledEngine, compile_and_run
-from repro.sim.batch import BatchEngine, BatchError, LaneOutcome, batchable_programs
 from repro.sim.trace import capture_golden_trace, memory_digest, state_digest, trace_mismatches
 
 __all__ = [
@@ -92,12 +91,23 @@ __all__ = [
     "execute_program",
     "CompiledEngine",
     "compile_and_run",
-    "BatchEngine",
-    "BatchError",
-    "LaneOutcome",
-    "batchable_programs",
     "capture_golden_trace",
     "memory_digest",
     "state_digest",
     "trace_mismatches",
 ]
+
+
+_BATCH_EXPORTS = ("BatchEngine", "BatchError", "LaneOutcome",
+                  "batchable_programs")
+__all__ += list(_BATCH_EXPORTS)
+
+
+def __getattr__(name):
+    # The batch engine is the only numpy user in the package; resolving it
+    # lazily (PEP 562) keeps numpy's import cost out of every process that
+    # never builds a BatchEngine — the CLI start-up and every queue worker.
+    if name in _BATCH_EXPORTS:
+        from repro.sim import batch
+        return getattr(batch, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

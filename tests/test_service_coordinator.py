@@ -11,6 +11,9 @@ completed elsewhere.
 
 import asyncio
 import concurrent.futures
+import hashlib
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -114,6 +117,106 @@ class TestHappyPath:
         asyncio.run(scenario())
         assert len(records) == 1
         assert wait_seen, "the idle worker should have been told to wait"
+
+
+class TestLinearAccept:
+    def test_accepting_a_result_never_rehashes_queued_jobs(self, monkeypatch):
+        """Each job id is hashed once, however long the pending queue is."""
+        from repro.runner import spec
+
+        hashes = []
+
+        def counting_sha256(data):
+            hashes.append(data)
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(spec, "hashlib",
+                            SimpleNamespace(sha256=counting_sha256))
+        count = 400
+        coordinator = Coordinator(_jobs(count))
+        # Lease and finish one job at a time, so every accept happens while
+        # the rest of the grid is still queued: a per-accept scan of the
+        # queue would hash about count**2 / 2 times.
+        for _ in range(count):
+            reply = coordinator._assign(1, "w1")
+            assert reply["type"] == "job"
+            assert coordinator._accept({"job_id": reply["job_id"],
+                                        "status": "ok"})
+        assert coordinator.outstanding == 0
+        assert len(hashes) <= 2 * count
+
+    def test_a_requeued_job_finished_late_leaves_the_queue(self):
+        coordinator = Coordinator(_jobs(3), heartbeat_timeout=5.0)
+        first = coordinator._assign(1, "w1")
+        coordinator._requeue(coordinator._in_flight.pop(first["job_id"]),
+                             "test", kind="heartbeat-timeout")
+        assert coordinator._accept({"job_id": first["job_id"],
+                                    "status": "ok"})
+        # The requeued duplicate dispatch is gone; the other two remain.
+        leased = [coordinator._assign(1, "w1")["job_id"] for _ in range(2)]
+        assert first["job_id"] not in leased
+        assert coordinator._assign(1, "w1")["type"] == "wait"
+
+    def test_throughput_holds_as_the_grid_grows(self):
+        """Stub jobs/s at 4N stays within 2x of jobs/s at N."""
+
+        def jobs_per_second(count):
+            coordinator = Coordinator(_jobs(count))
+
+            async def scenario():
+                serve = asyncio.create_task(coordinator.serve())
+                port = await coordinator.wait_started()
+                started = time.perf_counter()
+                workers = [asyncio.create_task(work_async(
+                    "127.0.0.1", port, name=f"w{index}",
+                    executor=_stub_executor)) for index in range(4)]
+                # Coordinator throughput: up to the last accepted result,
+                # not including how fast the idle workers then exit.
+                await serve
+                elapsed = time.perf_counter() - started
+                await asyncio.gather(*workers)
+                return count / elapsed
+
+            rate = asyncio.run(scenario())
+            assert coordinator.stats.results_accepted == count
+            return rate
+
+        small = jobs_per_second(250)
+        large = jobs_per_second(1000)
+        assert large >= 0.5 * small, (small, large)
+
+
+class TestWaitingWorker:
+    def test_waiting_worker_exits_on_the_done_broadcast(self):
+        """A ``done`` that arrives during a ``wait`` delay ends the worker."""
+
+        async def fake_coordinator(reader, writer):
+            assert (await read_message(reader))["type"] == "hello"
+            assert (await read_message(reader))["type"] == "next"
+            await send_and_drain(writer, {"type": "wait", "delay": 10})
+            await asyncio.sleep(0.1)
+            await send_and_drain(writer, {"type": "done"})
+            await read_message(reader)  # until the worker hangs up
+            writer.close()
+
+        async def scenario():
+            server = await asyncio.start_server(fake_coordinator,
+                                                "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            started = time.monotonic()
+            try:
+                summary = await asyncio.wait_for(
+                    work_async("127.0.0.1", port, name="idle",
+                               executor=_stub_executor), timeout=5.0)
+            finally:
+                server.close()
+                await server.wait_closed()
+            return summary, time.monotonic() - started
+
+        summary, elapsed = asyncio.run(scenario())
+        assert summary.outcome == "done"
+        assert summary.jobs_completed == 0
+        assert elapsed < 1.0
 
 
 class TestFaultInjection:

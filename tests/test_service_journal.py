@@ -57,6 +57,29 @@ class TestRunJournal:
             assert journal.events_written == 5
         assert len(replay_journal(path)) == 5
 
+    def test_each_append_is_one_call_of_one_public_method(self, tmp_path,
+                                                          monkeypatch):
+        """``append`` does not route through ``append_many``.
+
+        Tracing wraps both public methods; if one called the other, every
+        single-event fsync would be timed (and counted) twice.
+        """
+        calls = []
+        original = RunJournal.append_many
+
+        def counting(self, events):
+            calls.append("append_many")
+            return original(self, events)
+
+        monkeypatch.setattr(RunJournal, "append_many", counting)
+        path = str(tmp_path / "journal.jsonl")
+        with RunJournal(path) as journal:
+            journal.append("enqueued", job_id="a")
+            journal.append_many([{"event": "enqueued", "job_id": "b"}])
+            assert journal.events_written == 2
+        assert calls == ["append_many"]
+        assert len(replay_journal(path)) == 2
+
     def test_append_seals_a_torn_tail_first(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         with open(path, "w") as handle:
