@@ -5,7 +5,8 @@ typically observed ratio (record the real numbers with ``art9 bench
 --json`` — see the committed ``BENCH_*.json`` trajectory):
 
 * the fast pre-decoded interpreter vs the stage-by-stage pipeline model
-  (historically >10x; floor 3x);
+  (~10–13x on Dhrystone since the pipeline decodes its program once at
+  reset, ~23x before; floor 3x);
 * the compiled superblock-codegen engine vs the fast interpreter
   (historically ~3x on Dhrystone steady state; floor 1.5x);
 * all engines must report *identical* cycle counts — a speedup that

@@ -135,7 +135,10 @@ BENCH_JSON_VARIANTS = (
 #: Format 4 added the chained (profile-guided) compiled-engine timings.
 #: Format 5 drops them again with the chaining modes: every workload row
 #: carries ``fast_seconds`` / ``compiled_seconds`` and an ``engines_agree``
-#: flag, as do the machine and batch rows.
+#: flag, as do the machine and batch rows.  The additive
+#: ``pipeline_seconds`` / ``fast_speedup_vs_pipeline`` workload fields time
+#: the cycle-accurate pipeline too, and its cycle count joins
+#: ``engines_agree``.
 BENCH_RECORD_FORMAT = 5
 
 #: Workloads timed by the batched-throughput section: the two seed-variant
@@ -146,21 +149,23 @@ BENCH_BATCH_VARIANTS = (
 )
 
 
-def _bench_engine_seconds(engine_factories, program, repeat: int):
+def _bench_engine_seconds(engine_runs, program, repeat: int):
     """Best-of-``repeat`` wall seconds per engine, interleaved.
 
-    One untimed warm-up run per engine first (fills the codegen memo and
-    the artifact cache), then the engines alternate within every timing
-    round so CPU frequency drift between phases cannot skew their ratio.
+    ``engine_runs`` pairs an engine name with a function that builds that
+    engine on a program and returns its ``PipelineStats``.  One untimed
+    warm-up run per engine first (fills the codegen memo and the artifact
+    cache), then the engines alternate within every timing round so CPU
+    frequency drift between phases cannot skew their ratio.
     """
-    timings = {name: None for name, _ in engine_factories}
+    timings = {name: None for name, _ in engine_runs}
     stats = {}
-    for name, factory in engine_factories:
-        stats[name] = factory(program).run_with_stats()  # warm-up
+    for name, run in engine_runs:
+        stats[name] = run(program)  # warm-up
     for _ in range(max(1, repeat)):
-        for name, factory in engine_factories:
+        for name, run in engine_runs:
             started = time.perf_counter()
-            factory(program).run_with_stats()
+            run(program)
             elapsed = time.perf_counter() - started
             if timings[name] is None or elapsed < timings[name]:
                 timings[name] = elapsed
@@ -271,19 +276,22 @@ def _bench_batch_throughput(software, lanes: int, repeat: int) -> list:
 def _cmd_bench_json(args: argparse.Namespace) -> int:
     from repro.sim.compiled import CompiledEngine
     from repro.sim.engine import FastEngine
+    from repro.sim.pipeline import PipelineSimulator
 
     software = SoftwareFramework()
     rows = []
-    engine_factories = (
-        ("fast", FastEngine),
-        ("compiled", CompiledEngine),
+    engine_runs = (
+        ("fast", lambda program: FastEngine(program).run_with_stats()),
+        ("compiled", lambda program: CompiledEngine(program).run_with_stats()),
+        ("pipeline", lambda program: PipelineSimulator(program).run()),
     )
     for name, params in BENCH_JSON_VARIANTS:
         program, _, workload = software.compile_named_workload(name, params)
         timings, stats = _bench_engine_seconds(
-            engine_factories, program, args.repeat)
+            engine_runs, program, args.repeat)
         fast_seconds = timings["fast"]
         compiled_seconds = timings["compiled"]
+        pipeline_seconds = timings["pipeline"]
         label = name + ("[" + ",".join(f"{k}={v}" for k, v in sorted(params.items()))
                         + "]" if params else "")
         rows.append({
@@ -293,14 +301,17 @@ def _cmd_bench_json(args: argparse.Namespace) -> int:
             "iterations": workload.iterations,
             "cycles": stats["fast"].cycles,
             "instructions": stats["fast"].instructions_committed,
-            "engines_agree": stats["fast"].cycles == stats["compiled"].cycles,
+            "engines_agree": len({s.cycles for s in stats.values()}) == 1,
             "fast_seconds": round(fast_seconds, 6),
             "compiled_seconds": round(compiled_seconds, 6),
+            "pipeline_seconds": round(pipeline_seconds, 6),
             "compiled_speedup_vs_fast": round(fast_seconds / compiled_seconds, 6),
+            "fast_speedup_vs_pipeline": round(pipeline_seconds / fast_seconds, 6),
         })
         print(f"{label:32s} fast {fast_seconds * 1e3:8.2f} ms   "
               f"compiled {compiled_seconds * 1e3:8.2f} ms   "
-              f"{fast_seconds / compiled_seconds:5.2f}x")
+              f"{fast_seconds / compiled_seconds:5.2f}x   "
+              f"pipeline {pipeline_seconds * 1e3:8.2f} ms")
     # Per-machine-config Dhrystone rows: the design-space sensitivity of the
     # headline benchmark, cross-checked fast vs compiled per corner.
     machine_rows = []
@@ -329,7 +340,8 @@ def _cmd_bench_json(args: argparse.Namespace) -> int:
         "platform": platform.platform(),
         "repeat": args.repeat,
         "timing_mode": "run_with_stats (architectural execution + fused "
-                       "pipeline timing model), best-of-repeat seconds",
+                       "pipeline timing model; PipelineSimulator.run for "
+                       "pipeline_seconds), best-of-repeat seconds",
         "workloads": rows,
         "machines": machine_rows,
         "batch": batch_rows,

@@ -36,6 +36,7 @@ Two entry points are exposed:
 
 from __future__ import annotations
 
+from itertools import chain, islice, product
 from typing import Dict, List, Optional, Tuple
 
 from repro.isa.encoder import EncodeError
@@ -123,30 +124,37 @@ def _build_tables() -> None:
     global _TRITS, _PTI_WORD, _NTI_WORD
     if _TRITS is not None:
         return
-    trits_table: List[tuple] = [()] * MOD
-    pti_table = [0] * MOD
-    nti_table = [0] * MOD
-    for unsigned in range(MOD):
-        value = unsigned if unsigned <= HALF else unsigned - MOD
-        remaining = value
-        trits = []
-        for _ in range(WORD_TRITS):
-            digit = remaining % 3
-            if digit == 2:
-                digit = -1
-            remaining = (remaining - digit) // 3
-            trits.append(digit)
-        trits_table[unsigned] = tuple(trits)
-        pti = nti = 0
-        for k in range(WORD_TRITS - 1, -1, -1):
-            t = trits[k]
-            pti = pti * 3 + (-1 if t == 1 else 1)
-            nti = nti * 3 + (1 if t == -1 else -1)
-        pti_table[unsigned] = pti
-        nti_table[unsigned] = nti
+    # product() yields big-endian tuples in ascending value order, so value
+    # v sits at index v + HALF; unsigned order is 0..HALF, then -HALF..-1.
+    ascending = chain(islice(product((-1, 0, 1), repeat=WORD_TRITS), HALF, None),
+                      islice(product((-1, 0, 1), repeat=WORD_TRITS), HALF))
+    trits_table = [trits[::-1] for trits in ascending]
+    pti_table = nti_table = [0]
+    for _ in range(WORD_TRITS):
+        pti_table = _add_low_trit(pti_table, (1, 1, -1))
+        nti_table = _add_low_trit(nti_table, (1, -1, -1))
     _TRITS = trits_table
     _PTI_WORD = pti_table
     _NTI_WORD = nti_table
+
+
+def _add_low_trit(table: List[int], image: Tuple[int, int, int]) -> List[int]:
+    """Extend a k-trit word table to k + 1 trits by a new least significant trit.
+
+    ``table[u]`` is the value of a trit-wise gate applied to the k-trit word
+    of unsigned index ``u``; ``image`` is the gate's output for the trits
+    (-1, 0, 1).  A (k + 1)-trit word of unsigned index ``3u + t`` has upper
+    word ``u`` and low trit ``t``, except that index ``3**(k+1) - 1`` is the
+    word -1 (upper word 0, low trit -1), so walking the unsigned order takes
+    ``u = 0`` with ``t = 0, 1`` first and ``t = -1`` last.
+    """
+    on_neg, on_zero, on_pos = image
+    zero_upper = table[0] * 3
+    extended = [zero_upper + on_zero, zero_upper + on_pos]
+    extended += [upper * 3 + low for upper in islice(table, 1, None)
+                 for low in image]
+    extended.append(zero_upper + on_neg)
+    return extended
 
 
 class _MemoryView:

@@ -3,8 +3,9 @@
 The package is organised like the block diagram of the paper:
 
 ``stages``
-    The pipeline latch payloads carried between IF/ID, ID/EX, EX/MEM and
-    MEM/WB.
+    The decoded instruction record and the pipeline latch payloads carried
+    between IF/ID, ID/EX, EX/MEM and MEM/WB.  The simulator decodes the
+    program once, at reset, and the latches carry those records.
 ``hazards``
     The hazard detection unit (HDU) of the ID stage: load-use stall
     detection and the stall control signal that selects a NOP at the next

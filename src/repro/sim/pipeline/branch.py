@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.isa.instructions import Instruction
+from repro.sim.pipeline.stages import DecodedInstruction
 from repro.ternary.word import WORD_TRITS, TernaryWord
 
 
@@ -37,7 +37,7 @@ class BranchUnit:
 
     def evaluate(
         self,
-        instruction: Instruction,
+        instruction: DecodedInstruction,
         pc: int,
         tb_value: Optional[TernaryWord],
     ) -> BranchOutcome:

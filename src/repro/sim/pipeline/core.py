@@ -33,13 +33,22 @@ behaviour described above exactly.  At depths below 5 instructions still
 traverse all five structural stages; they merely *retire* (count as
 committed, and stop the clock on HALT) at the configured stage, with the
 remaining stages drained outside the cycle count.
+
+Decoding
+--------
+
+The program is decoded once, at reset: every TIM address becomes one
+:class:`~repro.sim.pipeline.stages.DecodedInstruction` holding its operand
+fields, register dataflow, class flags and static fetch prediction, and the
+latches carry those records from stage to stage.  Nothing on the per-cycle
+path looks an instruction spec up again, and an empty latch (a bubble) is
+``None`` rather than a fresh object.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
-from repro.isa.instructions import Instruction
 from repro.isa.program import Program
 from repro.sim.alu import TernaryALU
 from repro.sim.functional import SimulationError
@@ -48,7 +57,13 @@ from repro.sim.pipeline.branch import BranchUnit
 from repro.sim.pipeline.forwarding import ForwardingUnit
 from repro.sim.machine import MachineConfig, resolve_machine
 from repro.sim.pipeline.hazards import HazardDetectionUnit
-from repro.sim.pipeline.stages import DecodeLatch, ExecuteLatch, FetchLatch, MemoryLatch
+from repro.sim.pipeline.stages import (
+    DecodedInstruction,
+    DecodeLatch,
+    ExecuteLatch,
+    FetchLatch,
+    MemoryLatch,
+)
 from repro.sim.pipeline.stats import PipelineStats
 from repro.sim.regfile import TernaryRegisterFile
 from repro.ternary.word import WORD_TRITS, TernaryWord
@@ -63,6 +78,11 @@ class PipelineSimulator:
         self.machine = resolve_machine(machine)
         self.registers = TernaryRegisterFile()
         self.tim_words = program.encode()  # validates that the program encodes
+        #: The TIM decoded once: one record per instruction address.
+        self.decoded: List[DecodedInstruction] = [
+            DecodedInstruction(instruction, self.machine)
+            for instruction in program.instructions
+        ]
         self.tdm = TernaryMemory(depth=tdm_depth, name="TDM")
         self.alu = TernaryALU()
         self.hdu = HazardDetectionUnit(
@@ -72,6 +92,8 @@ class PipelineSimulator:
         self.stats = PipelineStats()
         #: Stage (1=IF .. 5=WB) at which instructions count as committed.
         self.retire_stage = self.machine.depth
+        # A load-use penalty of 0 feeds this cycle's MEM output to EX.
+        self._load_bypass = self.machine.load_use_penalty == 0
 
         self.pc = 0
         self.halted = False
@@ -80,10 +102,11 @@ class PipelineSimulator:
         # can deliver (initial fill, and redirect_penalty after a redirect).
         self._fetch_bubbles = self.machine.fetch_latency
 
-        self.if_id = FetchLatch.bubble()
-        self.id_ex = DecodeLatch.bubble()
-        self.ex_mem = ExecuteLatch.bubble()
-        self.mem_wb = MemoryLatch.bubble()
+        # Pipeline registers; None is a bubble.
+        self.if_id: Optional[FetchLatch] = None
+        self.id_ex: Optional[DecodeLatch] = None
+        self.ex_mem: Optional[ExecuteLatch] = None
+        self.mem_wb: Optional[MemoryLatch] = None
 
         for segment in program.data:
             self.tdm.load_words(segment.values, base=segment.base_address)
@@ -93,15 +116,15 @@ class PipelineSimulator:
     def _writeback(self) -> None:
         """WB: commit the MEM/WB latch to the register file."""
         latch = self.mem_wb
-        if not latch.valid:
+        if latch is None:
             return
-        destination = latch.destination
+        destination = latch.op.destination
         if destination is not None and latch.writeback_value is not None:
             self.registers.write(destination, latch.writeback_value)
         if self.retire_stage == 5:
-            self._retire(latch.instruction)
+            self._retire(latch.op)
 
-    def _retire(self, instruction: Instruction) -> None:
+    def _retire(self, op: DecodedInstruction) -> None:
         """Commit accounting at the configured retire stage.
 
         Register/memory side effects always happen in their structural
@@ -109,32 +132,28 @@ class PipelineSimulator:
         committed and when HALT stops the cycle counter.
         """
         self.stats.instructions_committed += 1
-        self.stats.instruction_mix[instruction.mnemonic] = (
-            self.stats.instruction_mix.get(instruction.mnemonic, 0) + 1
+        self.stats.instruction_mix[op.mnemonic] = (
+            self.stats.instruction_mix.get(op.mnemonic, 0) + 1
         )
-        if instruction.mnemonic == "HALT":
+        if op.is_halt:
             self.halted = True
 
-    def _memory(self) -> MemoryLatch:
+    def _memory(self) -> Optional[MemoryLatch]:
         """MEM: perform the TDM access of the EX/MEM latch."""
         latch = self.ex_mem
-        if not latch.valid:
-            return MemoryLatch.bubble()
-        instruction = latch.instruction
+        if latch is None:
+            return None
+        op = latch.op
         writeback_value = latch.alu_result
-        if instruction.spec.is_load:
+        if op.is_load:
             writeback_value = self.tdm.read(latch.memory_address)
-        elif instruction.spec.is_store:
+        elif op.is_store:
             self.tdm.write(latch.memory_address, latch.store_value)
             writeback_value = None
-        return MemoryLatch(
-            valid=True,
-            pc=latch.pc,
-            instruction=instruction,
-            writeback_value=writeback_value,
-        )
+        return MemoryLatch(latch.pc, op, writeback_value)
 
-    def _execute(self, mem_output: Optional[MemoryLatch] = None) -> ExecuteLatch:
+    def _execute(self, mem_output: Optional[MemoryLatch] = None
+                 ) -> Optional[ExecuteLatch]:
         """EX: run the TALU (with forwarding) or compute the memory address.
 
         ``mem_output`` is the MEM result produced this cycle; it is passed
@@ -142,108 +161,84 @@ class PipelineSimulator:
         same-cycle load bypass in the forwarding unit.
         """
         latch = self.id_ex
-        if not latch.valid:
-            return ExecuteLatch.bubble()
-        instruction = latch.instruction
-        spec = instruction.spec
+        if latch is None:
+            return None
+        op = latch.op
 
         operand_a = latch.operand_a
         operand_b = latch.operand_b
-        if spec.reads_ta:
+        if op.reads_ta:
             operand_a = self.forwarding.forward_operand(
-                instruction.ta, operand_a, self.ex_mem, self.mem_wb, mem_output
+                op.ta, operand_a, self.ex_mem, self.mem_wb, mem_output
             )
-        if spec.reads_tb:
+        if op.reads_tb:
             operand_b = self.forwarding.forward_operand(
-                instruction.tb, operand_b, self.ex_mem, self.mem_wb, mem_output
+                op.tb, operand_b, self.ex_mem, self.mem_wb, mem_output
             )
 
-        alu_result: Optional[TernaryWord] = None
-        store_value: Optional[TernaryWord] = None
-        memory_address: Optional[int] = None
-
-        if spec.category in ("R", "I"):
+        if op.is_alu:
             alu_result = self.alu.execute(
-                instruction.mnemonic, operand_a, operand_b, imm=instruction.imm
+                op.mnemonic, operand_a, operand_b, imm=op.imm
             ).value
-        elif spec.is_load or spec.is_store:
-            memory_address = self.alu.effective_address(operand_b, instruction.imm)
-            if spec.is_store:
-                store_value = operand_a
-        elif spec.is_jump:
+            return ExecuteLatch(latch.pc, op, alu_result)
+        if op.is_load or op.is_store:
+            store_value = operand_a if op.is_store else None
+            return ExecuteLatch(latch.pc, op, None, store_value,
+                                self.alu.effective_address(operand_b, op.imm))
+        if op.is_jump:
             # The link value (PC + 1) was computed in ID; it rides down the
             # pipeline as the writeback value.
-            alu_result = TernaryWord(latch.link_value, WORD_TRITS)
+            return ExecuteLatch(latch.pc, op,
+                                TernaryWord(latch.link_value, WORD_TRITS))
         # Conditional branches and HALT carry nothing: they were fully
         # resolved in ID and only flow through for commit accounting.
+        return ExecuteLatch(latch.pc, op)
 
-        return ExecuteLatch(
-            valid=True,
-            pc=latch.pc,
-            instruction=instruction,
-            alu_result=alu_result,
-            store_value=store_value,
-            memory_address=memory_address,
-        )
-
-    def _decode(self, ex_output: ExecuteLatch, mem_output: MemoryLatch):
+    def _decode(self, ex_output: Optional[ExecuteLatch],
+                mem_output: Optional[MemoryLatch]):
         """ID: hazard check, register read, branch resolution.
 
         Returns ``(id_ex_next, stall, redirect_target)``.
         """
         latch = self.if_id
-        if not latch.valid:
-            return DecodeLatch.bubble(), False, None
-        instruction = latch.instruction
-        spec = instruction.spec
+        if latch is None:
+            return None, False, None
+        op = latch.op
 
-        hazard = self.hdu.check(instruction, self.id_ex)
-        if hazard.stall:
-            self.stats.load_use_stalls += 1
-            return DecodeLatch.bubble(), True, None
+        if self.hdu.check(op, self.id_ex).stall:
+            return None, True, None
 
-        operand_a = self.registers.read(instruction.ta) if spec.reads_ta else None
-        operand_b = self.registers.read(instruction.tb) if spec.reads_tb else None
+        operand_a = self.registers.read(op.ta) if op.reads_ta else None
+        operand_b = self.registers.read(op.tb) if op.reads_tb else None
 
         redirect_target = None
         link_value = None
-        if spec.is_control:
+        if op.is_control:
             tb_value = None
-            if spec.reads_tb:
+            if op.reads_tb:
                 tb_value = self.forwarding.forward_for_id(
-                    instruction.tb, self.registers, ex_output, mem_output
+                    op.tb, self.registers, ex_output, mem_output
                 )
-            outcome = self.branch_unit.evaluate(instruction, latch.pc, tb_value)
+            outcome = self.branch_unit.evaluate(op, latch.pc, tb_value)
             # The front end already steered fetch by the static prediction;
-            # redirect only on a mispredict.  JALR is indirect, so its
-            # target is never known at fetch time and it always redirects
-            # (even when the computed target happens to equal PC + 1).
-            if instruction.mnemonic == "JALR":
-                mispredicted = True
-            elif instruction.mnemonic == "JAL":
-                mispredicted = not self.machine.folds_jal
-            else:
-                mispredicted = outcome.taken != self.machine.predicts_taken(
-                    instruction.mnemonic, instruction.imm)
-            if mispredicted:
+            # redirect only on a mispredict.  Jumps are always taken, so an
+            # unfolded JAL always redirects, and so does JALR: it is
+            # indirect, its target is never known at fetch time and it is
+            # never predicted (even when the computed target happens to
+            # equal PC + 1).
+            if outcome.taken != op.predicts_taken:
                 redirect_target = (
                     outcome.target if outcome.taken else latch.pc + 1)
             link_value = outcome.link_value
-        elif instruction.mnemonic == "HALT":
+        elif op.is_halt:
             # Stop fetching; let the HALT drain to WB to finish the run.
             self._draining = True
 
-        id_ex_next = DecodeLatch(
-            valid=True,
-            pc=latch.pc,
-            instruction=instruction,
-            operand_a=operand_a,
-            operand_b=operand_b,
-            link_value=link_value,
-        )
+        id_ex_next = DecodeLatch(latch.pc, op, operand_a, operand_b, link_value)
         return id_ex_next, False, redirect_target
 
-    def _fetch(self, stall: bool, redirect_target: Optional[int]) -> FetchLatch:
+    def _fetch(self, stall: bool, redirect_target: Optional[int]
+               ) -> Optional[FetchLatch]:
         """IF: fetch the next instruction (or hold / squash / refill)."""
         if stall:
             return self.if_id  # IF/ID holds; PC is held by the caller.
@@ -254,17 +249,13 @@ class PipelineSimulator:
             self._fetch_bubbles = penalty
         if self._fetch_bubbles > 0:
             self._fetch_bubbles -= 1
-            return FetchLatch.bubble()
-        if self._draining or not 0 <= self.pc < len(self.program.instructions):
-            return FetchLatch.bubble()
-        instruction = self.program.instructions[self.pc]
-        fetched = FetchLatch(valid=True, pc=self.pc, instruction=instruction)
-        if self.machine.predicts_taken(instruction.mnemonic,
-                                       instruction.imm or 0):
-            self.pc += instruction.imm
-        else:
-            self.pc += 1
-        return fetched
+            return None
+        pc = self.pc
+        if self._draining or not 0 <= pc < len(self.decoded):
+            return None
+        op = self.decoded[pc]
+        self.pc = pc + op.imm if op.predicts_taken else pc + 1
+        return FetchLatch(pc, op)
 
     # ------------------------------------------------------------------ driver
 
@@ -274,18 +265,17 @@ class PipelineSimulator:
 
         self._writeback()
         mem_wb_next = self._memory()
-        ex_mem_next = self._execute(
-            mem_wb_next if self.machine.load_use_penalty == 0 else None)
+        ex_mem_next = self._execute(mem_wb_next if self._load_bypass else None)
         id_ex_next, stall, redirect_target = self._decode(ex_mem_next, mem_wb_next)
         if_id_next = self._fetch(stall, redirect_target)
 
         retire_stage = self.retire_stage
-        if retire_stage == 4 and mem_wb_next.valid:
-            self._retire(mem_wb_next.instruction)
-        elif retire_stage == 3 and ex_mem_next.valid:
-            self._retire(ex_mem_next.instruction)
-        elif retire_stage == 2 and id_ex_next.valid:
-            self._retire(id_ex_next.instruction)
+        if retire_stage == 4 and mem_wb_next is not None:
+            self._retire(mem_wb_next.op)
+        elif retire_stage == 3 and ex_mem_next is not None:
+            self._retire(ex_mem_next.op)
+        elif retire_stage == 2 and id_ex_next is not None:
+            self._retire(id_ex_next.op)
 
         self.mem_wb = mem_wb_next
         self.ex_mem = ex_mem_next
@@ -305,10 +295,10 @@ class PipelineSimulator:
             self._writeback()
             mem_wb_next = self._memory()
             ex_mem_next = self._execute(
-                mem_wb_next if self.machine.load_use_penalty == 0 else None)
+                mem_wb_next if self._load_bypass else None)
             self.mem_wb = mem_wb_next
             self.ex_mem = ex_mem_next
-            self.id_ex = DecodeLatch.bubble()
+            self.id_ex = None
 
     def run(self, max_cycles: int = 50_000_000) -> PipelineStats:
         """Run until the HALT instruction commits (or ``max_cycles``)."""
@@ -325,6 +315,7 @@ class PipelineSimulator:
         return self.stats
 
     def _finalize_stats(self) -> None:
+        self.stats.load_use_stalls = self.hdu.load_use_stalls
         self.stats.taken_branches = self.branch_unit.taken_branches
         self.stats.not_taken_branches = self.branch_unit.not_taken_branches
         self.stats.jumps = self.branch_unit.jumps

@@ -35,8 +35,8 @@ class ForwardingUnit:
         self,
         register: Optional[int],
         read_value: TernaryWord,
-        ex_mem: ExecuteLatch,
-        mem_wb: MemoryLatch,
+        ex_mem: Optional[ExecuteLatch],
+        mem_wb: Optional[MemoryLatch],
         mem_output: Optional[MemoryLatch] = None,
     ) -> TernaryWord:
         """Return the freshest value of ``register`` for the TALU input.
@@ -46,20 +46,22 @@ class ForwardingUnit:
         priority of five-stage RISC pipelines.  ``mem_output`` — passed only
         on machines with ``load_use_penalty == 0`` — is the MEM result
         produced *this* cycle, enabling a same-cycle bypass of a fresh load
-        value into the TALU instead of a load-use stall.
+        value into the TALU instead of a load-use stall.  A ``None`` latch
+        is a bubble.
         """
         if register is None:
             return read_value
-        if ex_mem.valid and ex_mem.destination == register and not ex_mem.is_load:
+        if (ex_mem is not None and ex_mem.op.destination == register
+                and not ex_mem.op.is_load):
             if ex_mem.alu_result is not None:
                 self.ex_forwards += 1
                 return ex_mem.alu_result
-        if (mem_output is not None and ex_mem.valid and ex_mem.is_load
-                and ex_mem.destination == register
+        if (mem_output is not None and ex_mem is not None and ex_mem.op.is_load
+                and ex_mem.op.destination == register
                 and mem_output.writeback_value is not None):
             self.mem_forwards += 1
             return mem_output.writeback_value
-        if mem_wb.valid and mem_wb.destination == register:
+        if mem_wb is not None and mem_wb.op.destination == register:
             if mem_wb.writeback_value is not None:
                 self.mem_forwards += 1
                 return mem_wb.writeback_value
@@ -71,8 +73,8 @@ class ForwardingUnit:
         self,
         register: int,
         register_file: TernaryRegisterFile,
-        ex_output: ExecuteLatch,
-        mem_output: MemoryLatch,
+        ex_output: Optional[ExecuteLatch],
+        mem_output: Optional[MemoryLatch],
     ) -> TernaryWord:
         """Return the freshest value of ``register`` visible to the ID stage.
 
@@ -82,10 +84,13 @@ class ForwardingUnit:
         have already been written back to the TRF because write-back happens
         in the first half of the cycle.
         """
-        if ex_output.valid and ex_output.destination == register and ex_output.alu_result is not None and not ex_output.is_load:
+        if (ex_output is not None and ex_output.op.destination == register
+                and ex_output.alu_result is not None
+                and not ex_output.op.is_load):
             self.id_forwards += 1
             return ex_output.alu_result
-        if mem_output.valid and mem_output.destination == register and mem_output.writeback_value is not None:
+        if (mem_output is not None and mem_output.op.destination == register
+                and mem_output.writeback_value is not None):
             self.id_forwards += 1
             return mem_output.writeback_value
         return register_file.read(register)

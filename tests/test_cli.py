@@ -98,6 +98,8 @@ class TestBench:
             assert row["engines_agree"] is True
             assert row["fast_seconds"] > 0 and row["compiled_seconds"] > 0
             assert row["compiled_speedup_vs_fast"] > 0
+            assert row["pipeline_seconds"] > 0
+            assert row["fast_speedup_vs_pipeline"] > 0
             assert "compiled_chained_seconds" not in row
         machines = {row["machine"] for row in record["machines"]}
         assert "paper3stage" in machines and len(machines) >= 3

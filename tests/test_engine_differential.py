@@ -17,6 +17,7 @@ from repro.isa.assembler import assemble
 from repro.isa.instructions import Instruction
 from repro.isa.program import Program
 from repro.sim import FastEngine, FunctionalSimulator, PipelineSimulator, SimulationError
+from repro.sim import engine as _engine
 from repro.sim.engine import HALF, MOD, execute_program, wrap
 from repro.ternary.arithmetic import (
     add_words,
@@ -25,7 +26,9 @@ from repro.ternary.arithmetic import (
     shift_right,
     sub_words,
 )
+from repro.ternary.conversion import int_to_trits
 from repro.ternary.logic import word_and, word_nti, word_or, word_pti, word_xor
+from repro.ternary.trit import trit_nti, trit_pti
 from repro.ternary.word import TernaryWord
 from repro.testing import fuzz, generate_program, run_differential
 from repro.testing.differential import STATS_FIELDS
@@ -72,6 +75,22 @@ class TestWrapArithmetic:
                     result = execute_program(program)
                     expected = reference(TernaryWord(a), TernaryWord(b)).value
                     assert result.register("T1") == expected, (mnemonic, a, b)
+
+    def test_value_tables_match_trit_reference(self):
+        # Every entry of the three lookup tables, against tables rebuilt
+        # digit by digit from the ternary reference helpers.
+        _engine._build_tables()
+        expected_trits, expected_pti, expected_nti = [], [], []
+        for unsigned in range(MOD):
+            trits = int_to_trits(unsigned, 9)
+            expected_trits.append(tuple(trits))
+            expected_pti.append(sum(trit_pti(t) * 3 ** k for k, t in enumerate(trits)))
+            expected_nti.append(sum(trit_nti(t) * 3 ** k for k, t in enumerate(trits)))
+        assert len(_engine._TRITS) == MOD
+        for unsigned in range(MOD):
+            assert _engine._TRITS[unsigned] == expected_trits[unsigned], unsigned
+            assert _engine._PTI_WORD[unsigned] == expected_pti[unsigned], unsigned
+            assert _engine._NTI_WORD[unsigned] == expected_nti[unsigned], unsigned
 
     def test_inverters_match_trit_reference(self):
         for mnemonic, reference in (("PTI", word_pti), ("NTI", word_nti)):

@@ -79,6 +79,29 @@ def test_pipeline_simulator_matches_golden(path):
     assert not mismatches, "\n".join(mismatches)
 
 
+def test_pipeline_simulator_decodes_each_instruction_once(monkeypatch):
+    """The pipeline looks instruction specs up at reset, never per cycle."""
+    import repro.isa.instructions as instructions
+
+    trace = _load(os.path.join(GOLDEN_DIR, "dhrystone.json"))
+    program = _program_for(trace)
+    calls = [0]
+    spec_for = instructions.spec_for
+
+    def counting_spec_for(mnemonic):
+        calls[0] += 1
+        return spec_for(mnemonic)
+
+    monkeypatch.setattr(instructions, "spec_for", counting_spec_for)
+    simulator = PipelineSimulator(program)
+    stats = simulator.run(max_cycles=MAX_CYCLES)
+    monkeypatch.undo()
+    assert calls[0] <= 4 * len(program.instructions), calls[0]
+    mismatches = trace_mismatches(
+        trace, simulator.register_snapshot(), simulator.tdm.contents(), stats)
+    assert not mismatches, "\n".join(mismatches)
+
+
 @pytest.mark.parametrize("path", FIXTURE_PATHS, ids=_fixture_id)
 def test_fast_engine_matches_golden(path):
     trace = _load(path)

@@ -4,6 +4,7 @@ Both blocks were previously exercised only through whole-program pipeline
 runs; these tests pin their contracts in isolation: branch taken/not-taken
 decisions against the condition trit, JAL/JALR targets and link values, and
 the load-use stall rule (the only stall source of the ART-9 pipeline).
+Both units take the records the pipeline decodes once at reset.
 """
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from repro.isa.instructions import Instruction
 from repro.sim.pipeline.branch import BranchUnit
 from repro.sim.pipeline.hazards import HazardDetectionUnit
-from repro.sim.pipeline.stages import DecodeLatch
+from repro.sim.pipeline.stages import DecodedInstruction, DecodeLatch
 from repro.ternary.word import WORD_TRITS, TernaryWord
 
 MOD = 3 ** WORD_TRITS
@@ -21,12 +22,16 @@ def word(value: int) -> TernaryWord:
     return TernaryWord(value)
 
 
+def decoded(mnemonic: str, **fields) -> DecodedInstruction:
+    return DecodedInstruction(Instruction(mnemonic, **fields))
+
+
 class TestBranchUnitBranches:
     @pytest.mark.parametrize("value,trit", [(0, 0), (1, 1), (-1, -1),
                                             (3, 0), (4, 1), (-4, -1)])
     def test_beq_taken_when_lst_matches(self, value, trit):
         unit = BranchUnit()
-        beq = Instruction("BEQ", tb=2, branch_trit=trit, imm=5)
+        beq = decoded("BEQ", tb=2, branch_trit=trit, imm=5)
         outcome = unit.evaluate(beq, pc=10, tb_value=word(value))
         assert outcome.is_control and outcome.taken
         assert outcome.target == 15
@@ -36,7 +41,7 @@ class TestBranchUnitBranches:
     @pytest.mark.parametrize("value,trit", [(1, 0), (0, 1), (-1, 1), (2, 0)])
     def test_beq_not_taken_when_lst_differs(self, value, trit):
         unit = BranchUnit()
-        beq = Instruction("BEQ", tb=2, branch_trit=trit, imm=5)
+        beq = decoded("BEQ", tb=2, branch_trit=trit, imm=5)
         outcome = unit.evaluate(beq, pc=10, tb_value=word(value))
         assert outcome.is_control and not outcome.taken
         assert outcome.target is None
@@ -44,7 +49,7 @@ class TestBranchUnitBranches:
 
     def test_bne_inverts_the_beq_decision(self):
         unit = BranchUnit()
-        bne = Instruction("BNE", tb=1, branch_trit=0, imm=-3)
+        bne = decoded("BNE", tb=1, branch_trit=0, imm=-3)
         taken = unit.evaluate(bne, pc=20, tb_value=word(1))
         assert taken.taken and taken.target == 17
         not_taken = unit.evaluate(bne, pc=20, tb_value=word(0))
@@ -53,7 +58,7 @@ class TestBranchUnitBranches:
 
     def test_backward_branch_target(self):
         unit = BranchUnit()
-        beq = Instruction("BEQ", tb=0, branch_trit=0, imm=-8)
+        beq = decoded("BEQ", tb=0, branch_trit=0, imm=-8)
         outcome = unit.evaluate(beq, pc=30, tb_value=word(0))
         assert outcome.taken and outcome.target == 22
 
@@ -61,7 +66,7 @@ class TestBranchUnitBranches:
 class TestBranchUnitJumps:
     def test_jal_is_unconditional_with_link(self):
         unit = BranchUnit()
-        jal = Instruction("JAL", ta=4, imm=12)
+        jal = decoded("JAL", ta=4, imm=12)
         outcome = unit.evaluate(jal, pc=7, tb_value=None)
         assert outcome.is_control and outcome.taken
         assert outcome.target == 19
@@ -70,14 +75,14 @@ class TestBranchUnitJumps:
 
     def test_jalr_targets_register_plus_offset(self):
         unit = BranchUnit()
-        jalr = Instruction("JALR", ta=3, tb=5, imm=2)
+        jalr = decoded("JALR", ta=3, tb=5, imm=2)
         outcome = unit.evaluate(jalr, pc=40, tb_value=word(100))
         assert outcome.taken and outcome.target == 102
         assert outcome.link_value == 41
 
     def test_jalr_wraps_into_the_address_space(self):
         unit = BranchUnit()
-        jalr = Instruction("JALR", ta=3, tb=5, imm=1)
+        jalr = decoded("JALR", ta=3, tb=5, imm=1)
         outcome = unit.evaluate(jalr, pc=0, tb_value=word(-1))
         # (-1 + 1) mod 3^9 = 0: negative bases wrap like the datapath does.
         assert outcome.target == 0
@@ -86,29 +91,29 @@ class TestBranchUnitJumps:
 
     def test_non_control_instructions_pass_through(self):
         unit = BranchUnit()
-        outcome = unit.evaluate(Instruction("ADD", ta=1, tb=2), pc=5,
+        outcome = unit.evaluate(decoded("ADD", ta=1, tb=2), pc=5,
                                 tb_value=word(0))
         assert not outcome.is_control and not outcome.taken
         assert unit.taken_branches == unit.not_taken_branches == unit.jumps == 0
 
     def test_reset_statistics(self):
         unit = BranchUnit()
-        unit.evaluate(Instruction("JAL", ta=1, imm=1), pc=0, tb_value=None)
-        unit.evaluate(Instruction("BEQ", tb=1, branch_trit=0, imm=1), pc=0,
+        unit.evaluate(decoded("JAL", ta=1, imm=1), pc=0, tb_value=None)
+        unit.evaluate(decoded("BEQ", tb=1, branch_trit=0, imm=1), pc=0,
                       tb_value=word(0))
         unit.reset_statistics()
         assert unit.taken_branches == unit.not_taken_branches == unit.jumps == 0
 
 
-def latch_for(instruction: Instruction) -> DecodeLatch:
-    return DecodeLatch(valid=True, pc=0, instruction=instruction)
+def latch_for(op: DecodedInstruction) -> DecodeLatch:
+    return DecodeLatch(pc=0, op=op)
 
 
 class TestHazardDetectionUnit:
     def test_load_use_hazard_stalls_one_cycle(self):
         hdu = HazardDetectionUnit()
-        load = Instruction("LOAD", ta=3, tb=1, imm=0)
-        consumer = Instruction("ADD", ta=2, tb=3)  # reads T3 via tb
+        load = decoded("LOAD", ta=3, tb=1, imm=0)
+        consumer = decoded("ADD", ta=2, tb=3)  # reads T3 via tb
         decision = hdu.check(consumer, latch_for(load))
         assert decision.stall
         assert "load-use" in decision.reason
@@ -116,40 +121,40 @@ class TestHazardDetectionUnit:
 
     def test_load_followed_by_independent_instruction(self):
         hdu = HazardDetectionUnit()
-        load = Instruction("LOAD", ta=3, tb=1, imm=0)
-        independent = Instruction("ADD", ta=2, tb=4)
+        load = decoded("LOAD", ta=3, tb=1, imm=0)
+        independent = decoded("ADD", ta=2, tb=4)
         assert not hdu.check(independent, latch_for(load)).stall
         assert hdu.load_use_stalls == 0
 
     def test_non_load_producer_never_stalls(self):
         hdu = HazardDetectionUnit()
-        add = Instruction("ADD", ta=3, tb=1)
-        consumer = Instruction("ADD", ta=2, tb=3)
+        add = decoded("ADD", ta=3, tb=1)
+        consumer = decoded("ADD", ta=2, tb=3)
         assert not hdu.check(consumer, latch_for(add)).stall
 
     def test_bubble_latch_never_stalls(self):
         hdu = HazardDetectionUnit()
-        consumer = Instruction("ADD", ta=2, tb=3)
-        assert not hdu.check(consumer, DecodeLatch.bubble()).stall
+        consumer = decoded("ADD", ta=2, tb=3)
+        assert not hdu.check(consumer, None).stall  # None is a bubble
 
     def test_branch_reading_loaded_register_stalls(self):
         # BEQ consumes its Tb condition trit in ID itself, so a LOAD one
         # slot ahead is a load-use hazard for it too.
         hdu = HazardDetectionUnit()
-        load = Instruction("LOAD", ta=5, tb=1, imm=0)
-        branch = Instruction("BEQ", tb=5, branch_trit=0, imm=2)
+        load = decoded("LOAD", ta=5, tb=1, imm=0)
+        branch = decoded("BEQ", tb=5, branch_trit=0, imm=2)
         assert hdu.check(branch, latch_for(load)).stall
         assert hdu.load_use_stalls == 1
 
     def test_store_of_loaded_value_stalls(self):
         hdu = HazardDetectionUnit()
-        load = Instruction("LOAD", ta=5, tb=1, imm=0)
-        store = Instruction("STORE", ta=5, tb=2, imm=0)  # reads T5 as data
+        load = decoded("LOAD", ta=5, tb=1, imm=0)
+        store = decoded("STORE", ta=5, tb=2, imm=0)  # reads T5 as data
         assert hdu.check(store, latch_for(load)).stall
 
     def test_reset_statistics(self):
         hdu = HazardDetectionUnit()
-        load = Instruction("LOAD", ta=3, tb=1, imm=0)
-        hdu.check(Instruction("ADD", ta=2, tb=3), latch_for(load))
+        load = decoded("LOAD", ta=3, tb=1, imm=0)
+        hdu.check(decoded("ADD", ta=2, tb=3), latch_for(load))
         hdu.reset_statistics()
         assert hdu.load_use_stalls == 0
